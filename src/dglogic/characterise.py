@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .dung import (EquivDungModel, ExtensionSpec, closure_sim, defends,
                    enumerate_extensions, is_admissible, is_conflict_free,
-                   is_extension)
+                   is_extension, subsets)
 from .errors import ArityMismatch, BoundExceeded, UnknownSymbol
 from .graphs import Placeholder, SkeletonGraph
 from .semantics import Interpretation, ModelChecker
 from .syntax import (And, Apply, Atom, Equal, Exists, Forall, Formula,
                      Implies, Not, Or, Term, TOP, BOTTOM, Variable, atom,
-                     big_and, big_or, constant, function_symbols_of,
-                     symbols_of)
+                     big_and, big_or, constant, signature_of, term_free_vars)
 
 MAX_GENERATION_SIZE = 8
 
@@ -54,21 +53,6 @@ def _terms(consts: Sequence[Term | str], k: int, what: str) -> tuple[Term, ...]:
     if len(ts) != k:
         raise ArityMismatch(f"{what} needs {k} argument terms, got {len(ts)}")
     return ts
-
-
-def _avoid(terms: Iterable[Term]) -> set[str]:
-    acc: set[str] = set()
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Variable):
-            acc.add(t.name)
-        else:
-            for a in t.args:
-                walk(a)
-
-    for t in terms:
-        walk(t)
-    return acc
 
 
 def _fresh(wanted: Sequence[str], avoid: set[str]) -> list[str]:
@@ -128,7 +112,7 @@ def f_k_cf(k: int, consts: Sequence[Term | str]) -> Formula:
     ts = _terms(consts, k, "conflict-freeness")
     if k == 0:
         return TOP
-    y1n, y2n = _fresh(["y1", "y2"], _avoid(ts))
+    y1n, y2n = _fresh(["y1", "y2"], term_free_vars(*ts))
     y1, y2 = Variable(y1n), Variable(y2n)
     ante = big_and([
         _in_discussion(y1),
@@ -152,7 +136,7 @@ def f_kl_cl(k: int, l: int, consts: Sequence[Term | str]) -> Formula:
         return TOP
     if (k == 0 and l != 0) or (1 <= k and l < k):
         return BOTTOM
-    z1n, z2n, z3n = _fresh(["z1", "z2", "z3"], _avoid(ts))
+    z1n, z2n, z3n = _fresh(["z1", "z2", "z3"], term_free_vars(*ts))
     z1, z2, z3 = Variable(z1n), Variable(z2n), Variable(z3n)
     nothing_more = Forall(z1n, Forall(z2n, Implies(
         big_and([
@@ -179,7 +163,7 @@ def f_kn_wcf(k: int, N: int, consts: Sequence[Term | str], *,
         raise ArityMismatch(f"k = {k} exceeds the discussion size N = {N}")
     if k == 0:
         return TOP
-    avoid = _avoid(ts)
+    avoid = term_free_vars(*ts)
     items = []
     for i in range(k + 1, N + 1):
         ynames = _fresh([f"y{j}" for j in range(k + 1, i + 1)], avoid)
@@ -199,7 +183,7 @@ def f_k_df(k: int, c: Term | str, consts: Sequence[Term | str]) -> Formula:
     of them (k = 0 asserts c simply has no attacker)."""
     t = _coerce(c)
     ts = _terms(consts, k, "defence")
-    avoid = _avoid((t,) + ts)
+    avoid = term_free_vars(t, *ts)
     if k == 0:
         (yn,) = _fresh(["y"], avoid)
         y = Variable(yn)
@@ -236,7 +220,7 @@ def f_kn_wdf(k: int, N: int, c: Term | str, consts: Sequence[Term | str], *,
     ts = _terms(consts, k, "wide defence")
     if k > N:
         raise ArityMismatch(f"k = {k} exceeds the discussion size N = {N}")
-    avoid = _avoid((t,) + ts)
+    avoid = term_free_vars(t, *ts)
     (y0n,) = _fresh(["y0"], avoid)
     y0 = Variable(y0n)
     # one shared defence subformula across all closure sizes, so the
@@ -286,7 +270,7 @@ def f_cmp(variant: str, k: int, N: int | None, consts: Sequence[Term | str], *,
     """Complete-extension characterisations: admissible plus closure by
     defence (D-CMP simple, W-D-CMP wide) or by equivalence (E-CMP)."""
     ts = _terms(consts, k, "completeness")
-    avoid = _avoid(ts)
+    avoid = term_free_vars(*ts)
     if variant == "D-CMP":
         (xn,) = _fresh(["x"], avoid)
         closure = Forall(xn, Implies(
@@ -341,7 +325,7 @@ def f_extension(item: int, k: int, N: int, consts: Sequence[Term | str], *,
     variant = _ITEM_VARIANT[item]
     base = f_cmp(variant, k, N, ts, allow_large=allow_large)
     mu = EXTENSION_ITEMS[item][2]
-    avoid = _avoid(ts)
+    avoid = term_free_vars(*ts)
     if mu == "preferred":
         # no strictly larger member set is complete
         conjuncts = []
@@ -389,7 +373,7 @@ def f_distinct(k1: int, k2: int, consts: Sequence[Term | str]) -> Formula:
         return _in_discussion(*second)
     if k2 == 0:
         return _in_discussion(*first)
-    w1n, w2n = _fresh(["w1", "w2"], _avoid(ts))
+    w1n, w2n = _fresh(["w1", "w2"], term_free_vars(*ts))
     w1, w2 = Variable(w1n), Variable(w2n)
 
     def only_in(block, other):
@@ -427,7 +411,7 @@ def f_cmps(k_list: Sequence[int], N: int, consts: Sequence[Term | str], *,
     each_complete = [
         f_cmp("W-D-CMP", sizes[j], N, blocks[j], allow_large=allow_large)
         for j in range(len(blocks))]
-    avoid = _avoid(ts)
+    avoid = term_free_vars(*ts)
     nothing_else = []
     for j in range(0, N + 1):
         vnames = _fresh([f"v{i}" for i in range(1, j + 1)], avoid)
@@ -469,11 +453,12 @@ def std_environment(f: Formula, constants: Mapping[str, str]) -> Interpretation:
     node tuples, annotation-sharing atoms by a common annotation, and each
     constant by its designated node. Anything else raises UnknownSymbol.
     """
+    preds, funcs = signature_of(f)
     predicates = {}
-    for ref in symbols_of(f):
+    for ref in preds:
         predicates[(ref.name, ref.arity)] = _std_skeleton(ref.name, ref.arity)
     functions: dict[tuple[str, int], str] = {}
-    for name, arity in function_symbols_of(f):
+    for name, arity in funcs:
         if arity != 0:
             raise UnknownSymbol(name, arity, "function")
         if name not in constants:
@@ -528,13 +513,6 @@ class ValidationReport:
         }
 
 
-def _subset_tuples(nodes, max_k):
-    from itertools import combinations
-    top = len(nodes) if max_k is None else min(max_k, len(nodes))
-    for k in range(top + 1):
-        yield from combinations(nodes, k)
-
-
 def _bind(names: Sequence[str], values: Sequence[str]) -> dict[str, str]:
     return dict(zip(names, values))
 
@@ -552,7 +530,7 @@ def _family_checks(m: EquivDungModel, family: str, max_k):
     n = len(nodes)
     if family in ("CF", "WCF", "ADM", "WADM", "D-CMP", "W-D-CMP", "E-CMP",
                   "B-CMP", "W-B-CMP") or family in _FAMILY_ITEM:
-        for combo in _subset_tuples(nodes, max_k):
+        for combo in subsets(nodes, max_k):
             k = len(combo)
             names = const_names(k)
             cs = _bind(names, combo)
@@ -590,9 +568,9 @@ def _family_checks(m: EquivDungModel, family: str, max_k):
                        f_extension(item, k, n, names), cs,
                        is_extension(m, s, ExtensionSpec(sigma, tau, mu)))
     elif family == "CL":
-        for big in _subset_tuples(nodes, max_k):
+        for big in subsets(nodes, max_k):
             big_set = frozenset(big)
-            for core in _subset_tuples(big, None):
+            for core in subsets(big):
                 core_set = frozenset(core)
                 ordered = list(core) + sorted(big_set - core_set)
                 k, l = len(core), len(big)
@@ -604,7 +582,7 @@ def _family_checks(m: EquivDungModel, family: str, max_k):
                        f_kl_cl(k, l, names), cs, expected)
     elif family in ("DF", "WDF"):
         sigma = "simple" if family == "DF" else "wide"
-        for combo in _subset_tuples(nodes, max_k):
+        for combo in subsets(nodes, max_k):
             k = len(combo)
             names = const_names(k)
             for u in nodes:
@@ -614,8 +592,8 @@ def _family_checks(m: EquivDungModel, family: str, max_k):
                 yield ({"k": k, "set": list(combo), "target": u}, formula, cs,
                        defends(m, frozenset(combo), u, sigma))
     elif family == "DISTINCT":
-        for left in _subset_tuples(nodes, max_k):
-            for right in _subset_tuples(nodes, max_k):
+        for left in subsets(nodes, max_k):
+            for right in subsets(nodes, max_k):
                 k1, k2 = len(left), len(right)
                 names = const_names(k1 + k2)
                 cs = _bind(names, left + right)
@@ -646,8 +624,8 @@ def _cmps_checks(m: EquivDungModel):
         yield ({"blocks": [list(b) for b in dropped], "note": "dropped one"},
                formula, cs, False)
     member_sets = set(family)
-    extra = next((tuple(sorted(s)) for s in _subset_frozensets(m.nodes)
-                  if s not in member_sets), None)
+    extra = next((c for c in subsets(m.nodes) if frozenset(c) not in member_sets),
+                 None)
     if extra is not None:
         padded = true_blocks + [extra]
         formula, cs = _cmps_blocks_formula(m, padded)
@@ -658,13 +636,6 @@ def _cmps_checks(m: EquivDungModel):
         formula, cs = _cmps_blocks_formula(m, doubled)
         yield ({"blocks": [list(b) for b in doubled], "note": "duplicated block"},
                formula, cs, False)
-
-
-def _subset_frozensets(nodes):
-    from itertools import combinations
-    for k in range(len(nodes) + 1):
-        for combo in combinations(nodes, k):
-            yield frozenset(combo)
 
 
 def cross_validate(m: EquivDungModel, family: str, max_k: int | None = None, *,

@@ -9,7 +9,7 @@ ASCII grammar.
 Exit codes: 0 success (for validate: all families passed), 1 validation
 mismatches, 2 malformed input (JSON, grammar, flag values), 3 semantic errors
 (uninterpreted symbols, free variables, bad arities), 4 model invariant
-violations, 5 exceeded size or work bounds.
+violations, 5 exceeded size or work bounds (formula nesting depth included).
 
 JSON output is deterministic: keys sorted, two-space indentation, identical
 inputs and seed giving byte-identical reports. Every JSON report validates
@@ -453,6 +453,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.run(args)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BOUND
+    except RecursionError:
+        # the formula walkers recurse once per nesting level
+        print("error: formula nesting depth exceeds the interpreter's "
+              "recursion limit", file=sys.stderr)
         return EXIT_BOUND
     except InvalidModelError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, InvalidModelError
 from .graphs import AnnotatedGraph
@@ -177,14 +177,16 @@ def is_closed(m: EquivDungModel, s: Iterable[str], sigma: str, tau: str) -> bool
     return True
 
 
-def _subsets(nodes: tuple[str, ...]) -> Iterator[frozenset[str]]:
-    for k in range(len(nodes) + 1):
-        for combo in combinations(nodes, k):
-            yield frozenset(combo)
+def subsets(nodes: Sequence[str], max_k: int | None = None) -> Iterator[tuple[str, ...]]:
+    """Every subset of nodes as a tuple, by size and then in combinations
+    order; only those with at most max_k members when it is given."""
+    top = len(nodes) if max_k is None else min(max_k, len(nodes))
+    for k in range(top + 1):
+        yield from combinations(nodes, k)
 
 
 def _complete_family(m: EquivDungModel, sigma: str, tau: str) -> list[frozenset[str]]:
-    return [s for s in _subsets(m.nodes)
+    return [s for s in map(frozenset, subsets(m.nodes))
             if is_admissible(m, s, sigma) and is_closed(m, s, sigma, tau)]
 
 
@@ -226,7 +228,7 @@ def enumerate_extensions(m: EquivDungModel, spec: ExtensionSpec,
     if n > bound:
         raise BoundExceeded(f"{n} nodes exceed the enumeration bound {bound}")
     if spec.mu == "admissible":
-        return _ordered(s for s in _subsets(m.nodes)
+        return _ordered(s for s in map(frozenset, subsets(m.nodes))
                         if is_admissible(m, s, spec.sigma))
     family = _complete_family(m, spec.sigma, spec.tau)
     if spec.mu == "complete":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import CollisionError, DegreeGapError
 
@@ -172,7 +172,10 @@ def leq(g1: AnnotatedGraph, g2: AnnotatedGraph) -> bool:
 
 
 def degree_of(s: SkeletonGraph) -> int:
-    """Largest placeholder index, 0 if none. DegreeGapError on missing *j."""
+    """Largest placeholder index, 0 if none. DegreeGapError on missing *j.
+
+    Accepts any graph shape with all_values(), typed graph literals included.
+    """
     seen = {v.index for v in s.all_values() if isinstance(v, Placeholder)}
     if not seen:
         return 0
@@ -223,6 +226,60 @@ def instantiates(args: tuple[str, ...], s: SkeletonGraph, m: AnnotatedGraph) -> 
     return leq(g, m)
 
 
+def compile_skeleton_test(s: SkeletonGraph, m: AnnotatedGraph) -> Callable:
+    """Compile `instantiates(args, s, m)` to a closure over args.
+
+    The plan replays substitution and the subgraph test directly on the
+    argument tuple instead of building a graph per call: fill the node slots,
+    reject on any missing node or collision, then check edges and the
+    annotation inclusions. args must have length degree_of(s); instantiates
+    stays the executable spec, and a property test checks the two agree.
+    """
+    def plan(v):
+        return v.index - 1 if isinstance(v, Placeholder) else v
+
+    node_plan = tuple(plan(u) for u in s.nodes)
+    edge_plan = tuple((plan(a), plan(b)) for a, b in s.edges)
+    anno_plan = []
+    for key, vs in s.anno_items():
+        if not vs:
+            continue
+        if isinstance(key, tuple):
+            anno_plan.append(((plan(key[0]), plan(key[1])), tuple(plan(v) for v in vs)))
+        else:
+            anno_plan.append((plan(key), tuple(plan(v) for v in vs)))
+    anno_plan = tuple(anno_plan)
+    node_set = m.node_set
+    edge_set = m.edge_set
+    anno = m._anno
+
+    def test(vals: tuple[str, ...]) -> bool:
+        filled = [vals[p] if type(p) is int else p for p in node_plan]
+        for v in filled:
+            if v not in node_set:
+                return False
+        if len(set(filled)) != len(filled):
+            return False
+        for pa, pb in edge_plan:
+            e = (vals[pa] if type(pa) is int else pa,
+                 vals[pb] if type(pb) is int else pb)
+            if e not in edge_set:
+                return False
+        for key, req in anno_plan:
+            if type(key) is tuple:
+                pa, pb = key
+                target = anno[(vals[pa] if type(pa) is int else pa,
+                               vals[pb] if type(pb) is int else pb)]
+            else:
+                target = anno[vals[key] if type(key) is int else key]
+            for r in req:
+                if (vals[r] if type(r) is int else r) not in target:
+                    return False
+        return True
+
+    return test
+
+
 def match_tuples(s: SkeletonGraph, m: AnnotatedGraph) -> list[tuple[str, ...]]:
     """Every tuple over m's values that instantiates s below m, sorted.
 
@@ -230,12 +287,13 @@ def match_tuples(s: SkeletonGraph, m: AnnotatedGraph) -> list[tuple[str, ...]]:
     from m's nodes, annotation-only placeholders from m's annotation values,
     most constrained slot first. Partial assignments are pruned on edge,
     annotation and injectivity violations; each completed assignment is
-    confirmed with instantiates, so pruning can only ever cost time, not
-    soundness.
+    confirmed with the compiled instantiation test, so pruning can only ever
+    cost time, not soundness.
     """
     n = degree_of(s)
+    confirm = compile_skeleton_test(s, m)
     if n == 0:
-        return [()] if instantiates((), s, m) else []
+        return [()] if confirm(()) else []
     for u in s.nodes:
         if not isinstance(u, Placeholder) and u not in m.node_set:
             return []
@@ -290,7 +348,7 @@ def match_tuples(s: SkeletonGraph, m: AnnotatedGraph) -> list[tuple[str, ...]]:
     def search(slot: int) -> None:
         if slot == n:
             args = tuple(asg[i] for i in range(1, n + 1))
-            if instantiates(args, s, m):
+            if confirm(args):
                 results.append(args)
             return
         i = order[slot]
@@ -307,14 +365,20 @@ def match_tuples(s: SkeletonGraph, m: AnnotatedGraph) -> list[tuple[str, ...]]:
 _PLACEHOLDER_RE = re.compile(r"\*([1-9][0-9]*)$")
 
 
-def _decode_value(text: str, skeleton: bool) -> SkelValue:
+def parse_placeholder(text: str) -> Placeholder | None:
+    """The placeholder a string "*i" denotes; None for any other string."""
     mo = _PLACEHOLDER_RE.match(text)
-    if mo:
-        if not skeleton:
-            raise ValueError(
-                f"placeholder string {text!r} is not allowed in an object-level graph")
-        return Placeholder(int(mo.group(1)))
-    return text
+    return Placeholder(int(mo.group(1))) if mo else None
+
+
+def _decode_value(text: str, skeleton: bool) -> SkelValue:
+    ph = parse_placeholder(text)
+    if ph is None:
+        return text
+    if not skeleton:
+        raise ValueError(
+            f"placeholder string {text!r} is not allowed in an object-level graph")
+    return ph
 
 
 def _encode_value(v: SkelValue) -> str:

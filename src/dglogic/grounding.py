@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from .errors import BoundExceeded, DecodeError, MissingVar, NotClosedError, UnknownSymbol
-from .graphs import instantiates
-from .semantics import Evaluation, Interpretation, Model, _free_name_map, eval_term
+from .graphs import compile_skeleton_test
+from .semantics import Evaluation, Interpretation, Model, eval_term
 from .syntax import (And, Atom, Bottom, Equal, Exists, Forall, Formula, Implies,
-                     Not, Or, Top, free_vars, function_symbols_of, symbols_of)
+                     Not, Or, Top, free_name_map, signature_of)
 
 
 # --------------------------------------------------------------------------
@@ -249,17 +249,17 @@ def ground(f: Formula, m: Model, interp: Interpretation, *,
     crossed); preferred/grounded characterisation schemas blow up as
     |domain|^depth and the budget turns that into a clean refusal.
     """
-    fv = free_vars(f)
-    if fv:
-        raise NotClosedError(tuple(fv))
-    for ref in symbols_of(f):
+    fmap = free_name_map(f)
+    if fmap[id(f)]:
+        raise NotClosedError(fmap[id(f)])
+    preds, funcs = signature_of(f)
+    for ref in preds:
         if (ref.name, ref.arity) not in interp.predicates:
             raise UnknownSymbol(ref.name, ref.arity, "predicate")
-    for name, arity in function_symbols_of(f):
+    for name, arity in funcs:
         if (name, arity) not in interp.functions:
             raise UnknownSymbol(name, arity, "function")
 
-    fmap = _free_name_map(f)
     domain = m.domain
     env: dict[str, str] = {}
     ev = Evaluation(interp, env)
@@ -357,6 +357,7 @@ def induced_valuation(m: Model, interp: Interpretation, names) -> dict[str, bool
     to those atoms.
     """
     out: dict[str, bool] = {}
+    tests: dict = {}
     for text in sorted(names):
         name, arity, args = decode_atom(text)
         skel = interp.predicates.get((name, arity))
@@ -365,7 +366,10 @@ def induced_valuation(m: Model, interp: Interpretation, names) -> dict[str, bool
         for a in args:
             if a not in m.domain_set:
                 raise DecodeError(f"{a!r} is not in the domain of discourse")
-        out[text] = instantiates(args, skel, m.graph)
+        test = tests.get((name, arity))
+        if test is None:
+            test = tests[(name, arity)] = compile_skeleton_test(skel, m.graph)
+        out[text] = test(args)
     return out
 
 

@@ -22,11 +22,12 @@ from typing import Callable, Mapping
 
 from .errors import (CollisionError, NotClosedError, TableMiss, UnboundVariable,
                      UnknownSymbol)
-from .graphs import (AnnotatedGraph, Placeholder, SkeletonGraph, degree_of,
-                     graph_from_dict, graph_to_dict)
-from .syntax import (And, Apply, Atom, Bottom, Equal, Exists, Forall, Formula,
+from .graphs import (AnnotatedGraph, Placeholder, SkeletonGraph,
+                     compile_skeleton_test, degree_of, graph_from_dict,
+                     graph_to_dict)
+from .syntax import (And, Atom, Bottom, Equal, Exists, Forall, Formula,
                      Implies, Not, Or, Term, Top, TypedGraph, Variable,
-                     free_vars)
+                     free_name_map, free_vars)
 
 
 class Model:
@@ -108,122 +109,6 @@ def eval_term(t: Term, e: Evaluation) -> str:
         raise TableMiss(t.name, args) from None
 
 
-def _free_name_map(root: Formula) -> dict[int, tuple[str, ...]]:
-    """id(subformula) -> its free variable names, sorted. Shares DAG nodes."""
-    out: dict[int, tuple[str, ...]] = {}
-
-    def walk(f: Formula) -> frozenset[str]:
-        key = id(f)
-        if key in out:
-            return frozenset(out[key])
-        if isinstance(f, Atom):
-            acc: set[str] = set()
-            for t in f.args:
-                _term_vars(t, acc)
-            fv = frozenset(acc)
-        elif isinstance(f, Equal):
-            acc = set()
-            _term_vars(f.left, acc)
-            _term_vars(f.right, acc)
-            fv = frozenset(acc)
-        elif isinstance(f, Not):
-            fv = walk(f.body)
-        elif isinstance(f, (And, Or, Implies)):
-            fv = walk(f.left) | walk(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            fv = walk(f.body) - {f.var}
-        else:
-            fv = frozenset()
-        out[key] = tuple(sorted(fv))
-        return fv
-
-    walk(root)
-    return out
-
-
-def _term_vars(t: Term, into: set[str]) -> None:
-    if isinstance(t, Variable):
-        into.add(t.name)
-    else:
-        for a in t.args:
-            _term_vars(a, into)
-
-
-def _compile_skeleton_test(skel: SkeletonGraph, graph: AnnotatedGraph) -> Callable:
-    """Compile `instantiates(vals, skel, graph)` to a closure.
-
-    The plan replays substitution and the subgraph test directly on the
-    argument tuple instead of building a graph per call: fill the node slots,
-    reject on any collision or missing node, then check edges and the
-    annotation inclusions. Equivalence with graphs.instantiates is covered by
-    a property test.
-    """
-    def plan(v):
-        return v.index - 1 if isinstance(v, Placeholder) else v
-
-    node_plan = tuple(plan(u) for u in skel.nodes)
-    edge_plan = tuple((plan(a), plan(b)) for a, b in skel.edges)
-    anno_plan = []
-    for key, vs in skel.anno_items():
-        if not vs:
-            continue
-        if isinstance(key, tuple):
-            anno_plan.append(((plan(key[0]), plan(key[1])), tuple(plan(v) for v in vs)))
-        else:
-            anno_plan.append((plan(key), tuple(plan(v) for v in vs)))
-    anno_plan = tuple(anno_plan)
-    node_set = graph.node_set
-    edge_set = graph.edge_set
-    anno = graph._anno
-
-    def test(vals: tuple[str, ...]) -> bool:
-        filled = [vals[p] if type(p) is int else p for p in node_plan]
-        for v in filled:
-            if v not in node_set:
-                return False
-        if len(set(filled)) != len(filled):
-            return False
-        for pa, pb in edge_plan:
-            e = (vals[pa] if type(pa) is int else pa,
-                 vals[pb] if type(pb) is int else pb)
-            if e not in edge_set:
-                return False
-        for key, req in anno_plan:
-            if type(key) is tuple:
-                pa, pb = key
-                target = anno[(vals[pa] if type(pa) is int else pa,
-                               vals[pb] if type(pb) is int else pb)]
-            else:
-                target = anno[vals[key] if type(key) is int else key]
-            for r in req:
-                if (vals[r] if type(r) is int else r) not in target:
-                    return False
-        return True
-
-    return test
-
-
-def _max_quant_depth(root: Formula) -> int:
-    depth: dict[int, int] = {}
-
-    def walk(f: Formula) -> int:
-        key = id(f)
-        if key in depth:
-            return depth[key]
-        if isinstance(f, Not):
-            d = walk(f.body)
-        elif isinstance(f, (And, Or, Implies)):
-            d = max(walk(f.left), walk(f.right))
-        elif isinstance(f, (Forall, Exists)):
-            d = 1 + walk(f.body)
-        else:
-            d = 0
-        depth[key] = d
-        return d
-
-    return walk(root)
-
-
 class ModelChecker:
     """Compiles and evaluates formulas against one (model, interpretation).
 
@@ -240,6 +125,8 @@ class ModelChecker:
         self._pred_tests: dict[tuple[str, int], Callable] = {}
         # keep checked formulas alive so id()-keyed memo entries stay valid
         self._roots: list = []
+        # environment slots the formula being compiled needs
+        self._env_size = 0
 
     # -- term compilation ---------------------------------------------------
 
@@ -287,7 +174,7 @@ class ModelChecker:
                 raise UnknownSymbol(f.pred.name, f.pred.arity, "predicate")
             test = self._pred_tests.get(sig)
             if test is None:
-                test = _compile_skeleton_test(skel, self.model.graph)
+                test = compile_skeleton_test(skel, self.model.graph)
                 self._pred_tests[sig] = test
             getters = tuple(self._term(t, scope) for t in f.args)
             if f.pred.arity > 3:
@@ -356,6 +243,8 @@ class ModelChecker:
             return lambda env: (not lf(env)) or rf(env)
         if isinstance(f, (Forall, Exists)):
             slot = depth
+            if slot >= self._env_size:
+                self._env_size = slot + 1
             inner_scope = dict(scope)
             inner_scope[f.var] = slot
             dom = self.model.domain
@@ -418,10 +307,9 @@ class ModelChecker:
         self._roots.append(f)
         names = sorted(assign)
         scope = {n: i for i, n in enumerate(names)}
-        fmap = _free_name_map(f)
-        size = len(names) + _max_quant_depth(f)
-        fn = self._compile(f, scope, len(names), fmap)
-        env = [None] * size
+        self._env_size = len(names)
+        fn = self._compile(f, scope, len(names), free_name_map(f))
+        env = [None] * self._env_size
         for n, i in scope.items():
             env[i] = assign[n]
         return fn(env)

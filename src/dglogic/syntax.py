@@ -31,8 +31,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import DegreeGapError, ParseError
-from .graphs import Placeholder
+from .errors import ParseError
+from .graphs import Placeholder, degree_of, parse_placeholder
 
 
 # --------------------------------------------------------------------------
@@ -161,39 +161,55 @@ def big_or(items) -> Formula:
     return BOTTOM if out is None else out
 
 
-def term_free_vars(t: Term, into: set[str]) -> None:
-    if isinstance(t, Variable):
-        into.add(t.name)
-    else:
-        for a in t.args:
-            term_free_vars(a, into)
+def term_free_vars(*terms: Term) -> set[str]:
+    """Names of the variables occurring in the given terms."""
+    out: set[str] = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Variable):
+            out.add(t.name)
+        else:
+            stack.extend(t.args)
+    return out
+
+
+def free_name_map(root: Formula) -> dict[int, tuple[str, ...]]:
+    """id(subformula) -> its free variable names, sorted, for every
+    subformula of root.
+
+    A subformula shared by several parents (the characterisation generators
+    build DAGs) is analysed once. Keys are id()s, so the map is meaningful
+    only while root is alive.
+    """
+    out: dict[int, tuple[str, ...]] = {}
+
+    def walk(f: Formula) -> set[str]:
+        key = id(f)
+        if key in out:
+            return set(out[key])
+        if isinstance(f, Atom):
+            fv = term_free_vars(*f.args)
+        elif isinstance(f, Equal):
+            fv = term_free_vars(f.left, f.right)
+        elif isinstance(f, Not):
+            fv = walk(f.body)
+        elif isinstance(f, (And, Or, Implies)):
+            fv = walk(f.left) | walk(f.right)
+        elif isinstance(f, (Forall, Exists)):
+            fv = walk(f.body) - {f.var}
+        else:
+            fv = set()
+        out[key] = tuple(sorted(fv))
+        return fv
+
+    walk(root)
+    return out
 
 
 def free_vars(f: Formula) -> frozenset[str]:
     """Free variables of a formula."""
-    out: set[str] = set()
-
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, Atom):
-            acc: set[str] = set()
-            for t in g.args:
-                term_free_vars(t, acc)
-            out.update(acc - bound)
-        elif isinstance(g, Equal):
-            acc = set()
-            term_free_vars(g.left, acc)
-            term_free_vars(g.right, acc)
-            out.update(acc - bound)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
-    return frozenset(out)
+    return frozenset(free_name_map(f)[id(f)])
 
 
 def is_well_formed(f: Formula) -> bool:
@@ -212,37 +228,26 @@ def formula_size(f: Formula) -> int:
     return 1
 
 
-def symbols_of(f: Formula) -> frozenset[SymbolRef]:
-    """Every predicate symbol occurring in f."""
-    out: set[SymbolRef] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Atom):
-            out.add(g.pred)
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body)
-
-    walk(f)
-    return frozenset(out)
-
-
-def function_symbols_of(f: Formula) -> frozenset[tuple[str, int]]:
-    """Every function symbol (name, arity) occurring in f, constants included."""
-    out: set[tuple[str, int]] = set()
+def signature_of(f: Formula) -> tuple[frozenset[SymbolRef],
+                                      frozenset[tuple[str, int]]]:
+    """The predicate symbols and the function symbols (name, arity),
+    constants included, occurring in f. A shared subformula is visited once."""
+    preds: set[SymbolRef] = set()
+    funcs: set[tuple[str, int]] = set()
+    seen: set[int] = set()
 
     def walk_term(t: Term) -> None:
         if isinstance(t, Apply):
-            out.add((t.name, len(t.args)))
+            funcs.add((t.name, len(t.args)))
             for a in t.args:
                 walk_term(a)
 
     def walk(g: Formula) -> None:
+        if id(g) in seen:
+            return
+        seen.add(id(g))
         if isinstance(g, Atom):
+            preds.add(g.pred)
             for t in g.args:
                 walk_term(t)
         elif isinstance(g, Equal):
@@ -257,7 +262,12 @@ def function_symbols_of(f: Formula) -> frozenset[tuple[str, int]]:
             walk(g.body)
 
     walk(f)
-    return frozenset(out)
+    return frozenset(preds), frozenset(funcs)
+
+
+def symbols_of(f: Formula) -> frozenset[SymbolRef]:
+    """Every predicate symbol occurring in f."""
+    return signature_of(f)[0]
 
 
 # --------------------------------------------------------------------------
@@ -565,14 +575,7 @@ class TypedGraph:
             yield from vs
 
     def degree(self) -> int:
-        seen = {v.index for v in self.all_values() if isinstance(v, Placeholder)}
-        if not seen:
-            return 0
-        top = max(seen)
-        for j in range(1, top + 1):
-            if j not in seen:
-                raise DegreeGapError(j, top)
-        return top
+        return degree_of(self)
 
     def __eq__(self, other):
         if not isinstance(other, TypedGraph):
@@ -587,14 +590,9 @@ class TypedGraph:
         return f"TypedGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
 
 
-_PLACEHOLDER_TEXT = re.compile(r"\*([1-9][0-9]*)$")
-
-
 def _typed_value(text: str) -> TypedValue:
-    mo = _PLACEHOLDER_TEXT.match(text)
-    if mo:
-        return Placeholder(int(mo.group(1)))
-    return parse_term(text)
+    ph = parse_placeholder(text)
+    return parse_term(text) if ph is None else ph
 
 
 def parse_graph_literal(text: str) -> TypedGraph:

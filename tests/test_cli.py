@@ -323,6 +323,22 @@ def test_ground_budget(tmp_path, capsys):
 # malformed inputs
 
 
+@pytest.mark.parametrize("command", ["check", "ground"])
+def test_deeply_nested_formula_is_a_bound_error(tmp_path, capsys, command):
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({
+        "constants": {"a": "u1"},
+        "predicates": [{"name": "p", "arity": 1, "graph": {
+            "nodes": [{"id": "*1", "anno": []}], "edges": []}}]}))
+    formula = tmp_path / "deep.txt"
+    formula.write_text(" & ".join(["p(a)"] * 3000) + "\n")
+    code, _, err = run(capsys, command, "--model", CHAIN, "--env", str(env),
+                       "--formula", str(formula))
+    assert code == 5
+    assert "nesting depth" in err
+    assert "Traceback" not in err
+
+
 def test_bad_json_model(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

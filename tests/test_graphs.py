@@ -9,6 +9,7 @@ from dglogic import (AnnotatedGraph, CollisionError, DegreeGapError,
                      Placeholder, SkeletonGraph, degree_of, graph_from_dict,
                      graph_to_dict, instantiates, leq, match_tuples,
                      substitute)
+from dglogic.graphs import compile_skeleton_test
 
 P1, P2, P3 = Placeholder(1), Placeholder(2), Placeholder(3)
 
@@ -294,6 +295,23 @@ def test_instantiates_monotone(data):
     args = tuple(data.draw(st.sampled_from(domain)) for _ in range(n))
     if instantiates(args, s, m1):
         assert instantiates(args, s, m2)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_compiled_skeleton_test_agrees_with_instantiates(data):
+    m = data.draw(annotated_graphs())
+    s = data.draw(skeletons())
+    test = compile_skeleton_test(s, m)
+    plain_s, plain_m = to_plain(s), to_plain(m)
+    # the skeleton's constant nodes join the domain so that arguments can
+    # collide with them as well as with each other
+    constants = {u for u in s.nodes if isinstance(u, str)}
+    domain = sorted(set(oracles.graph_domain(plain_m)) | constants | {"a"})
+    for args in itertools.product(domain, repeat=degree_of(s)):
+        want = oracles.naive_instantiates(args, plain_s, plain_m)
+        assert instantiates(args, s, m) == want, args
+        assert test(args) == want, args
 
 
 @given(st.data())

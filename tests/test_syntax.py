@@ -9,7 +9,8 @@ from dglogic import (And, Apply, Atom, BOTTOM, Bottom, DegreeGapError, Equal,
                      SymbolRef, TOP, Variable, atom, big_and, big_or, constant,
                      f_k_cf, format_formula, formula_size, free_vars,
                      is_well_formed, parse_formula, parse_graph_literal,
-                     parse_term)
+                     parse_term, symbols_of)
+from dglogic.syntax import free_name_map, signature_of
 
 X, Y = Variable("x"), Variable("y")
 
@@ -208,6 +209,90 @@ def test_roundtrip_random(f):
 def test_size_positive_and_stable(f):
     assert formula_size(f) >= 1
     assert formula_size(parse_formula(format_formula(f))) == formula_size(f)
+
+
+# --------------------------------------------------------------------------
+# formula analyses against a plain tree walk
+
+
+def ref_term_vars(t):
+    if isinstance(t, Variable):
+        return {t.name}
+    return set().union(*(ref_term_vars(a) for a in t.args))
+
+
+def ref_term_functions(t):
+    if isinstance(t, Variable):
+        return set()
+    return {(t.name, len(t.args))}.union(*(ref_term_functions(a) for a in t.args))
+
+
+def ref_free_vars(f):
+    if isinstance(f, Atom):
+        return set().union(*(ref_term_vars(t) for t in f.args))
+    if isinstance(f, Equal):
+        return ref_term_vars(f.left) | ref_term_vars(f.right)
+    if isinstance(f, Not):
+        return ref_free_vars(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return ref_free_vars(f.left) | ref_free_vars(f.right)
+    if isinstance(f, (Forall, Exists)):
+        return ref_free_vars(f.body) - {f.var}
+    return set()
+
+
+def ref_children(f):
+    if isinstance(f, (Not, Forall, Exists)):
+        return [f.body]
+    if isinstance(f, (And, Or, Implies)):
+        return [f.left, f.right]
+    return []
+
+
+def ref_signature(f):
+    if isinstance(f, Atom):
+        return {f.pred}, set().union(*(ref_term_functions(t) for t in f.args))
+    if isinstance(f, Equal):
+        return set(), ref_term_functions(f.left) | ref_term_functions(f.right)
+    preds, funcs = set(), set()
+    for g in ref_children(f):
+        p, fs = ref_signature(g)
+        preds |= p
+        funcs |= fs
+    return preds, funcs
+
+
+def ref_subformulas(f):
+    yield f
+    for g in ref_children(f):
+        yield from ref_subformulas(g)
+
+
+# One node object reused under several parents, including under a binder of
+# one of its own free variables and next to a free occurrence of it.
+shared_formulas = st.recursive(
+    formulas,
+    lambda kids: st.one_of(
+        kids.map(lambda k: And(k, Not(k))),
+        st.tuples(_names(["x", "y", "z1"]), kids).map(
+            lambda t: Or(t[1], Forall(t[0], t[1]))),
+        st.tuples(_names(["x", "y", "z1"]), kids, kids).map(
+            lambda t: Exists(t[0], Implies(t[1], Forall(t[0], And(t[1], t[2]))))),
+    ),
+    max_leaves=4)
+
+
+@given(shared_formulas)
+@settings(max_examples=300, deadline=None)
+def test_analyses_agree_with_tree_walk(f):
+    assert free_vars(f) == ref_free_vars(f)
+    assert is_well_formed(f) == (not ref_free_vars(f))
+    preds, funcs = signature_of(f)
+    assert (preds, funcs) == ref_signature(f)
+    assert symbols_of(f) == preds
+    fmap = free_name_map(f)
+    for g in ref_subformulas(f):
+        assert fmap[id(g)] == tuple(sorted(ref_free_vars(g)))
 
 
 # --------------------------------------------------------------------------
